@@ -1,0 +1,5 @@
+"""Whole-tick benchmark: agent-ticks per wall-clock second, split into layers.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
