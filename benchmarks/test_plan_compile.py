@@ -14,7 +14,7 @@ phase together — under both settings of ``plan_backend``:
 
 Both backends produce bit-identical final states (asserted here); only the
 speed differs.  The full-size configuration (10k agents, ``-m slow``) must
-show at least a 3x whole-tick speedup; the tiny smoke configuration runs on
+show at least a 15x whole-tick speedup; the tiny smoke configuration runs on
 every CI push, writes ``BENCH_plan_compile.json`` and fails whenever the
 compiled path is *slower* than the interpreter — the perf-regression guard.
 """
@@ -89,14 +89,16 @@ class TestPlanCompileSmoke:
 
 
 class TestPlanCompileFull:
-    """Paper-scale configuration: the >=3x whole-tick compilation claim."""
+    """Paper-scale configuration: the >=15x whole-tick compilation claim."""
 
     @pytest.mark.slow
     def test_ten_thousand_agent_tick_speedup(self, once):
         row = once(run_comparison, 10_000)
         write_results([row])
-        assert row["speedup"] >= 3.0, (
-            f"expected >=3x on 10k-agent fish whole ticks, got {row['speedup']:.2f}x "
+        # Five runs on a 2-core x86_64 machine measured 20.3x-25.3x; the
+        # floor sits below their minimum.
+        assert row["speedup"] >= 15.0, (
+            f"expected >=15x on 10k-agent fish whole ticks, got {row['speedup']:.2f}x "
             f"(interpreted {row['interpreted_seconds']:.3f}s, "
             f"compiled {row['compiled_seconds']:.3f}s)"
         )

@@ -91,10 +91,7 @@ class BraceConfig:
     #: answered in a handful of array ops) or ``None`` for automatic
     #: selection (vectorized whenever an index is requested and the worker's
     #: extent is large enough to amortize the snapshot).  Agent states are
-    #: bit-identical across backends; only the speed differs.  (Sole caveat:
-    #: ``QueryContext.nearest`` breaks *exact* distance ties in canonical
-    #: order on the vectorized backend vs k-d tree traversal order on the
-    #: python backend — neighbour/visible queries are tie-free.)
+    #: bit-identical across backends; only the speed differs.
     spatial_backend: str | None = None
     #: How BRASIL query/update plans execute: ``"interpreted"`` (the
     #: reference per-agent AST walk), ``"compiled"`` (whole-phase columnar

@@ -5,7 +5,8 @@ agent's ``run()`` body and update rules one agent — one *pair*, inside a
 ``foreach`` — at a time.  This module compiles whole query and update
 plans to NumPy so a phase becomes a handful of array operations: effect
 aggregation turns into ``np.ufunc.at`` scatter-reductions over the spatial
-join's match lists, and update rules turn into column arithmetic over a
+join's CSR match arrays (:meth:`~repro.core.context.QueryContext.visible_pairs`),
+and update rules turn into column arithmetic over a
 :class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.
 
 Bit-identity with the interpreter is the contract, never tolerance, so the
@@ -41,6 +42,7 @@ for the interpreter to process from scratch.
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +68,9 @@ from repro.brasil.ast_nodes import (
 from repro.brasil.builtins import BUILTIN_FUNCTIONS
 from repro.brasil.semantics import ScriptInfo
 from repro.core.soa import AgentTable, UnpackableValueError, pack_column
+
+
+_log = logging.getLogger("repro.brasil.kernels")
 
 
 class PlanKernelFallback(Exception):
@@ -465,6 +470,8 @@ class _VectorFrame:
         self.accumulators: Dict[str, _Accumulator] = {}
         self.pair_probe: Optional[np.ndarray] = None
         self.pair_rows: Optional[np.ndarray] = None
+        #: Canonical extent row -> table row (-1: another class's agent).
+        self.table_row_of_extent: Optional[np.ndarray] = None
         self.loopvar: Optional[str] = None
         self._probe_cache: Dict[str, np.ndarray] = {}
         self._pair_cache: Dict[str, np.ndarray] = {}
@@ -472,8 +479,13 @@ class _VectorFrame:
     # -- construction --------------------------------------------------
     @classmethod
     def for_query(cls, kernel: QueryKernel, owned: Sequence[Any], context: Any):
-        canonical = context._canonical_agents()
-        extent = [a for a in canonical if type(a).__name__ == kernel.class_name]
+        canonical = context.canonical_agents()
+        of_class = np.fromiter(
+            (type(a).__name__ == kernel.class_name for a in canonical),
+            dtype=bool,
+            count=len(canonical),
+        )
+        extent = [a for a, keep in zip(canonical, of_class) if keep]
         try:
             table = AgentTable(extent, kernel.state_field_names)
         except UnpackableValueError as exc:
@@ -485,6 +497,7 @@ class _VectorFrame:
         except KeyError as exc:
             raise PlanKernelFallback("probe not in extent") from exc
         frame = cls(table, probe_rows)
+        frame.table_row_of_extent = np.where(of_class, np.cumsum(of_class) - 1, -1)
         frame.kernel = kernel
         frame.context = context
         frame.probes = list(owned)
@@ -738,25 +751,23 @@ class _VectorFrame:
             raise PlanKernelFallback(f"statement {type(statement).__name__}")
 
     def _exec_foreach(self, statement: ForEach, mask: np.ndarray) -> None:
-        # Resolve the extent per active probe through the same public
-        # context API the interpreter uses: identical matches, identical
-        # work accounting, canonical (ascending) match order.
-        pair_probe: List[int] = []
-        pair_rows: List[int] = []
-        row_of = self.table.row_of
-        class_name = self.kernel.class_name
-        for index in np.nonzero(mask)[0]:
-            agent = self.probes[int(index)]
-            for match in self.context.visible(agent):
-                if type(match).__name__ == class_name:
-                    pair_probe.append(int(index))
-                    pair_rows.append(row_of(match))
+        # One batch call resolves every active probe's extent through the
+        # context: the same pairs, order and work charge as per-probe
+        # visible() calls, handed over as flat (probe, canonical row)
+        # arrays and mapped onto table rows of the compiled class.
+        active = np.flatnonzero(mask)
+        probes = self.probes if len(active) == len(self.probes) else [
+            self.probes[index] for index in active.tolist()
+        ]
+        probe_index, extent_rows = self.context.visible_pairs(probes)
+        table_rows = self.table_row_of_extent[extent_rows]
+        of_class = table_rows >= 0
         saved_locals = dict(self.locals)
-        self.pair_probe = np.array(pair_probe, dtype=np.intp)
-        self.pair_rows = np.array(pair_rows, dtype=np.intp)
+        self.pair_probe = active[probe_index[of_class]]
+        self.pair_rows = table_rows[of_class]
         self.loopvar = statement.variable
         self._pair_cache = {}
-        pair_mask = np.ones(len(pair_rows), dtype=bool)
+        pair_mask = np.ones(len(self.pair_rows), dtype=bool)
         self.exec_block(statement.body.statements, pair_mask, "pair")
         # Locals declared (or re-declared) inside the loop held the last
         # iteration's scalar in the interpreter; no single vector
@@ -916,7 +927,8 @@ def try_compiled_query_phase(owned: Sequence[Any], context: Any) -> bool:
     try:
         kernel.run(owned, context)
         return True
-    except PlanKernelFallback:
+    except PlanKernelFallback as reason:
+        _log.debug("query kernel for %s fell back: %s", cls.__name__, reason)
         context.work_units, context.index_probes = saved_work
         return False
 
@@ -935,7 +947,8 @@ def try_compiled_update_phase(owned: Sequence[Any], context: Any) -> List[Any]:
             continue
         try:
             kernel.run(agents, context)
-        except PlanKernelFallback:
+        except PlanKernelFallback as reason:
+            _log.debug("update kernel for %s fell back: %s", cls.__name__, reason)
             interpreted_classes.add(cls)
     if not interpreted_classes:
         return []

@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.agent import Agent
 from repro.core.errors import VisibilityError, WorldError
 from repro.core.ordering import agent_sort_key
 from repro.spatial.bbox import BBox
@@ -51,6 +52,31 @@ def resolve_spatial_backend(backend: str | None, index: str | None, num_agents: 
     if index is not None and num_agents >= AUTO_VECTORIZE_MIN_AGENTS:
         return "vectorized"
     return "python"
+
+
+def _dist_sq(point: Sequence[float], center: Sequence[float]) -> float:
+    """Squared Euclidean distance, summed left to right like every backend."""
+    return sum((p - c) ** 2 for p, c in zip(point, center))
+
+
+def _default_region(cls: type) -> bool:
+    """True when ``cls`` keeps :meth:`Agent.visible_region` (radii-derived)."""
+    return getattr(cls, "visible_region", None) is Agent.visible_region
+
+
+def _class_radii(cls: type) -> np.ndarray | None:
+    """Per-dimension visibility radii of a class using the default region.
+
+    ``None`` when the class overrides :meth:`Agent.visible_region`, has
+    unbounded visibility, or declares a negative radius (which
+    ``BBox.around`` rejects, so those rows must go through it).
+    """
+    if not _default_region(cls) or not cls.has_bounded_visibility():
+        return None
+    radii = np.asarray(cls.visibility_radii(), dtype=np.float64)
+    if (radii < 0).any():
+        return None
+    return radii
 
 
 def agent_rng(seed: int, tick: int, agent_id: Any) -> np.random.Generator:
@@ -131,8 +157,10 @@ class QueryContext:
         self._canonical_rank: dict[int, int] | None = None
         #: radius -> (per-row neighbour arrays, per-row examined counts).
         self._neighbor_batches: dict[float, tuple] = {}
-        #: Lazily computed per-row visible-region matches (vectorized only).
+        #: Lazily computed σ_V batch join as CSR ``(indptr, rows, examined)``
+        #: and the per-row visible boxes it probed (vectorized only).
         self._visible_batch = None
+        self._visible_region_boxes = None
         if self.spatial_backend == "vectorized":
             self._index = None
         else:
@@ -169,6 +197,18 @@ class QueryContext:
         self.work_units += len(self._agents)
         return list(self._agents)
 
+    def canonical_agents(self) -> list[Any]:
+        """The extent in canonical order: the rows :meth:`visible_pairs` reports.
+
+        Also the snapshot's row order.  Bookkeeping, not a query: no work
+        is charged.
+        """
+        if self._canonical_list is None:
+            self._canonical_list = sorted(
+                self._agents, key=lambda agent: agent_sort_key(agent.agent_id)
+            )
+        return self._canonical_list
+
     def __len__(self) -> int:
         return len(self._agents)
 
@@ -198,9 +238,7 @@ class QueryContext:
         for candidate in candidates:
             if candidate is agent and not include_self:
                 continue
-            point = candidate.position()
-            dist_sq = sum((p - c) ** 2 for p, c in zip(point, center))
-            if dist_sq <= radius_sq:
+            if _dist_sq(candidate.position(), center) <= radius_sq:
                 matches.append(candidate)
         self.work_units += len(candidates)
         return self._in_canonical_order(matches)
@@ -230,39 +268,60 @@ class QueryContext:
         region = agent.visible_region()
         if region is None:
             result = [
-                a for a in self._canonical_agents() if include_self or a is not agent
+                a for a in self.canonical_agents() if include_self or a is not agent
             ]
             self.work_units += len(self._agents)
             return result
         return self.neighbors_in_box(agent, region, include_self=include_self)
 
+    def visible_pairs(
+        self, probes: Sequence[Any], include_self: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every probe's :meth:`visible` matches at once, as flat pair arrays.
+
+        Returns ``(probe_index, extent_row)``: ``probe_index`` indexes
+        ``probes`` and ``extent_row`` indexes :meth:`canonical_agents`.
+        Pairs are probe-major with each
+        probe's matches ascending — exactly the concatenation of
+        ``visible(probe)`` over ``probes`` — and ``work_units`` and
+        ``index_probes`` are charged as those calls would charge them.
+        The vectorized backend gathers the pairs from the cached σ_V batch
+        join (CSR) in array operations; the python backend, the reference
+        oracle, builds them by calling :meth:`visible` per probe.
+        """
+        if self.spatial_backend == "vectorized":
+            return self._visible_pairs_vectorized(probes, include_self)
+        rank = self._rank()
+        probe_index: list[int] = []
+        extent_rows: list[int] = []
+        for index, probe in enumerate(probes):
+            matches = self.visible(probe, include_self)
+            probe_index.extend([index] * len(matches))
+            extent_rows.extend(rank[id(match)] for match in matches)
+        return np.array(probe_index, dtype=np.intp), np.array(extent_rows, dtype=np.intp)
+
     def nearest(self, agent: Any, k: int = 1, max_radius: float | None = None) -> list[Any]:
         """Up to ``k`` nearest other agents, optionally within ``max_radius``.
 
-        The vectorized backend breaks exact distance ties by canonical order;
-        the k-d tree path breaks them by traversal order.
+        Ranked by ``(squared distance, agent_sort_key)``, so exact distance
+        ties resolve in canonical order on every backend and index.
         """
         center = agent.position()
         if self.spatial_backend == "vectorized":
             found = self._nearest_vectorized(agent, center, k)
         elif isinstance(self._index, KDTree):
             self.index_probes += 1
-            # Ask for one extra in case the agent itself is indexed here.
-            found = [a for a in self._index.k_nearest(center, k + 1) if a is not agent][:k]
+            found = self._nearest_kdtree(agent, center, k)
         else:
             ranked = sorted(
                 (a for a in self._agents if a is not agent),
-                key=lambda a: sum((p - c) ** 2 for p, c in zip(a.position(), center)),
+                key=lambda a: (_dist_sq(a.position(), center), agent_sort_key(a.agent_id)),
             )
             self.work_units += len(self._agents)
             found = ranked[:k]
         if max_radius is not None:
             radius_sq = max_radius * max_radius
-            found = [
-                a
-                for a in found
-                if sum((p - c) ** 2 for p, c in zip(a.position(), center)) <= radius_sq
-            ]
+            found = [a for a in found if _dist_sq(a.position(), center) <= radius_sq]
         return found
 
     def rng(self, agent: Any) -> np.random.Generator:
@@ -272,19 +331,11 @@ class QueryContext:
     # ------------------------------------------------------------------
     # Internals — canonical ordering
     # ------------------------------------------------------------------
-    def _canonical_agents(self) -> list[Any]:
-        """The extent in canonical order (also the snapshot's row order)."""
-        if self._canonical_list is None:
-            self._canonical_list = sorted(
-                self._agents, key=lambda agent: agent_sort_key(agent.agent_id)
-            )
-        return self._canonical_list
-
     def _rank(self) -> dict[int, int]:
         """Object id → canonical rank, built once per context."""
         if self._canonical_rank is None:
             self._canonical_rank = {
-                id(agent): rank for rank, agent in enumerate(self._canonical_agents())
+                id(agent): rank for rank, agent in enumerate(self.canonical_agents())
             }
         return self._canonical_rank
 
@@ -302,7 +353,7 @@ class QueryContext:
         """The columnar snapshot over the extent, built at most once."""
         if self._snapshot is None:
             self._snapshot = PointSet(
-                self._canonical_agents(), key=lambda agent: agent.position()
+                self.canonical_agents(), key=lambda agent: agent.position()
             )
         return self._snapshot
 
@@ -347,6 +398,8 @@ class QueryContext:
         return snapshot.take(rows)
 
     def _visible_vectorized(self, agent, include_self) -> list[Any]:
+        # The single-probe twin of _visible_pairs_vectorized: same pairs
+        # and charge, at a fraction of the batch path's fixed overhead.
         snapshot = self._ensure_snapshot()
         region = agent.visible_region()
         if region is None:
@@ -360,43 +413,129 @@ class QueryContext:
             rows = snapshot.scan_box(region.lows, region.highs)
             self.work_units += self._probe_work(len(rows))
             return self._materialize(snapshot, rows, agent, include_self)
-        if self._visible_batch is None:
-            self._visible_batch = self._build_visible_batch(snapshot)
-        lists, examined = self._visible_batch
+        indptr, batch_rows, examined = self._visible_csr(snapshot)
         self.work_units += self._probe_work(int(examined[row]))
-        rows = lists[row]
+        rows = batch_rows[indptr[row] : indptr[row + 1]]
         if not include_self:
             rows = rows[rows != row]
         return snapshot.take(rows)
 
-    def _build_visible_batch(self, snapshot: PointSet):
-        """Batch σ_V probe: every row's declared visible region at once.
-
-        Rows with unbounded visibility never consult the batch (they take
-        the full-extent path above), so their probe boxes are voided —
-        the kernel marks them invalid and does no work for them.
-        """
-        points = snapshot.points
-        lows = np.empty_like(points)
-        highs = np.empty_like(points)
-        sides: list[Any] = []
-        for row, candidate in enumerate(snapshot.items):
-            region = candidate.visible_region()
+    def _visible_pairs_vectorized(self, probes, include_self):
+        snapshot = self._ensure_snapshot()
+        count = len(probes)
+        own = np.fromiter(
+            (-1 if (row := snapshot.row_of(probe)) is None else row for probe in probes),
+            dtype=np.intp,
+            count=count,
+        )
+        inside = own >= 0
+        bounded = np.zeros(count, dtype=bool)
+        if inside.any():
+            bounded[inside] = self._visible_boxes(snapshot)[2][own[inside]]
+        batched = np.flatnonzero(inside & bounded)
+        pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        if len(batched):
+            indptr, batch_rows, examined = self._visible_csr(snapshot)
+            rows_of = own[batched]
+            starts = indptr[rows_of]
+            lengths = indptr[rows_of + 1] - starts
+            total = int(lengths.sum())
+            positions = np.arange(total, dtype=np.intp)
+            positions += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            probe_index = np.repeat(batched, lengths)
+            extent_rows = batch_rows[positions]
+            if not include_self:
+                keep = extent_rows != own[probe_index]
+                probe_index, extent_rows = probe_index[keep], extent_rows[keep]
+            pieces.append((probe_index, extent_rows))
+            self.index_probes += len(batched)
+            self.work_units += len(batched) * self._probe_work(0)
+            self.work_units += int(examined[rows_of].sum())
+        special = np.flatnonzero(~(inside & bounded))
+        everything = np.arange(len(snapshot), dtype=np.intp)
+        for index in special.tolist():
+            row = int(own[index])
+            region = None if row >= 0 else probes[index].visible_region()
             if region is None:
-                lows[row] = np.inf
-                highs[row] = -np.inf
+                # Unbounded visibility: the full extent, no index probe.
+                self.work_units += len(self._agents)
+                rows = everything if include_self or row < 0 else everything[everything != row]
             else:
-                lows[row] = region.lows
-                highs[row] = region.highs
-                sides.append(highs[row] - lows[row])
-        if sides:
-            cell = np.maximum(np.max(sides, axis=0), 1e-12)
-        else:
-            cell = np.maximum(points.max(axis=0) - points.min(axis=0), 1.0)
-        grid = VectorizedGrid(snapshot, cell)
-        probe_ids, rows, examined = grid.batch_range_query(lows, highs)
-        cuts = np.searchsorted(probe_ids, np.arange(1, len(snapshot)))
-        return np.split(rows, cuts), examined
+                # A probe from outside the extent: one columnar scan.
+                rows = snapshot.scan_box(region.lows, region.highs)
+                self.index_probes += 1
+                self.work_units += self._probe_work(len(rows))
+            pieces.append((np.full(len(rows), index, dtype=np.intp), rows))
+        if not pieces:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        if len(pieces) == 1:
+            return pieces[0]
+        probe_index = np.concatenate([piece[0] for piece in pieces])
+        extent_rows = np.concatenate([piece[1] for piece in pieces])
+        # Each piece lists its probes' rows ascending: a stable sort by
+        # probe restores the probe-major order of per-probe visible() calls.
+        order = np.argsort(probe_index, kind="stable")
+        return probe_index[order], extent_rows[order]
+
+    def _visible_boxes(self, snapshot: PointSet):
+        """``(lows, highs, bounded)``: every row's visible region, built once.
+
+        Classes that keep :meth:`Agent.visible_region` get their boxes as
+        ``points ± per-class radii`` — the float64 ops of ``BBox.around`` —
+        in one array operation; any other class is asked per agent.
+        Unbounded rows get a void box (``inf``/``-inf``).
+        """
+        if self._visible_region_boxes is not None:
+            return self._visible_region_boxes
+        points = snapshot.points
+        lows = np.full_like(points, np.inf)
+        highs = np.full_like(points, -np.inf)
+        bounded = np.zeros(len(points), dtype=bool)
+        classes: dict[type, int] = {}
+        class_of = np.fromiter(
+            (classes.setdefault(type(item), len(classes)) for item in snapshot.items),
+            dtype=np.intp,
+            count=len(snapshot),
+        )
+        for cls, code in classes.items():
+            rows = np.flatnonzero(class_of == code)
+            radii = _class_radii(cls)
+            if radii is not None:
+                lows[rows] = points[rows] - radii
+                highs[rows] = points[rows] + radii
+                bounded[rows] = True
+                continue
+            if _default_region(cls) and not cls.has_bounded_visibility():
+                continue  # the default region of an unbounded class is None
+            for row in rows.tolist():
+                region = snapshot.items[row].visible_region()
+                if region is not None:
+                    lows[row] = region.lows
+                    highs[row] = region.highs
+                    bounded[row] = True
+        self._visible_region_boxes = lows, highs, bounded
+        return self._visible_region_boxes
+
+    def _visible_csr(self, snapshot: PointSet):
+        """Batch σ_V probe of every row's visible region, as CSR.
+
+        Returns ``(indptr, rows, examined)``: row ``i``'s matches are
+        ``rows[indptr[i]:indptr[i + 1]]``, ascending, self included.
+        Unbounded rows never consult the batch (they take the full-extent
+        path), so their void boxes do no work in the kernel.
+        """
+        if self._visible_batch is None:
+            lows, highs, bounded = self._visible_boxes(snapshot)
+            points = snapshot.points
+            if bounded.any():
+                cell = np.maximum((highs[bounded] - lows[bounded]).max(axis=0), 1e-12)
+            else:
+                cell = np.maximum(points.max(axis=0) - points.min(axis=0), 1.0)
+            grid = VectorizedGrid(snapshot, cell)
+            probe_ids, rows, examined = grid.batch_range_query(lows, highs)
+            indptr = np.searchsorted(probe_ids, np.arange(len(snapshot) + 1))
+            self._visible_batch = indptr, rows, examined
+        return self._visible_batch
 
     def _nearest_vectorized(self, agent, center, k: int) -> list[Any]:
         snapshot = self._ensure_snapshot()
@@ -425,6 +564,35 @@ class QueryContext:
             if len(found) == k:
                 break
         return found
+
+    def _nearest_kdtree(self, agent, center, k: int) -> list[Any]:
+        """k-d tree nearest neighbours with ties resolved canonically.
+
+        The tree breaks exact distance ties by traversal order, so the
+        probe widens until the farthest returned candidate is strictly
+        farther than the k-th ranked one: then every tied candidate is in
+        hand and the ``(dist_sq, agent_sort_key)`` ranking is exact.
+        """
+        if k <= 0:
+            return []
+        size = len(self._agents)
+        want = k + 1
+        while True:
+            batch = self._index.k_nearest(center, want)
+            ranked = sorted(
+                (
+                    (_dist_sq(a.position(), center), agent_sort_key(a.agent_id), index)
+                    for index, a in enumerate(batch)
+                    if a is not agent
+                )
+            )
+            if want >= size or len(ranked) < k:
+                break
+            farthest = _dist_sq(batch[-1].position(), center)
+            if farthest > ranked[k - 1][0]:
+                break
+            want *= 2
+        return [batch[index] for _, _, index in ranked[:k]]
 
     def _candidates(self, box: BBox) -> Iterable[Any]:
         if self._index is None:

@@ -274,18 +274,25 @@ class VectorizedGrid:
 
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
+        # A box with a NaN bound or low > high in some dimension contains no
+        # point; it has no meaningful cells either, so it is dropped here
+        # (binned at the origin, never enumerated).
+        valid = (lows <= highs).all(axis=1)
+        ordered = valid[:, None]
         # Clamp into (just beyond) the occupied extent so ±inf or far-away
         # boxes bin cleanly; validity is judged on the clamped cells below.
         pad_lo = self._origin + (self._min_cell - 1) * self.cell_size
         pad_hi = self._origin + (self._max_cell + 2) * self.cell_size
         low_cells = np.floor(
-            (np.clip(lows, pad_lo, pad_hi) - self._origin) / self.cell_size
+            (np.clip(np.where(ordered, lows, self._origin), pad_lo, pad_hi) - self._origin)
+            / self.cell_size
         ).astype(np.int64)
         high_cells = np.floor(
-            (np.clip(highs, pad_lo, pad_hi) - self._origin) / self.cell_size
+            (np.clip(np.where(ordered, highs, self._origin), pad_lo, pad_hi) - self._origin)
+            / self.cell_size
         ).astype(np.int64)
 
-        valid = (high_cells >= self._min_cell).all(axis=1)
+        valid &= (high_cells >= self._min_cell).all(axis=1)
         valid &= (low_cells <= self._max_cell).all(axis=1)
         low_cells = np.clip(low_cells, self._min_cell, self._max_cell)
         high_cells = np.clip(high_cells, self._min_cell, self._max_cell)
@@ -352,17 +359,44 @@ class VectorizedGrid:
         Returns ``(probe_ids, match_rows, examined)`` with the pair arrays
         sorted by ``(probe, row)``.
         """
-        points = self.pointset.points
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
+        inside_box = self._box_filter(lows, highs)
 
         def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            candidate_points = points[rows]
-            inside = (candidate_points >= lows[probe_ids]).all(axis=1)
-            inside &= (candidate_points <= highs[probe_ids]).all(axis=1)
+            inside = inside_box(probe_ids, rows)
             return inside, inside
 
         return self._batch_join(lows, highs, keep)
+
+    def _box_filter(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The exact closed-box test, one 1-D coordinate column at a time.
+
+        Gathering one contiguous column per dimension and AND-ing the
+        per-dimension tests is the same ``lo <= p <= hi`` comparison set as
+        gathering ``(n, dim)`` blocks and reducing with ``.all(axis=1)``,
+        without the strided 2-D gathers and the reduction pass.
+        """
+        columns = [
+            (
+                np.ascontiguousarray(self.pointset.points[:, dimension]),
+                np.ascontiguousarray(lows[:, dimension]),
+                np.ascontiguousarray(highs[:, dimension]),
+            )
+            for dimension in range(self.pointset.dim)
+        ]
+
+        def inside_box(probe_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            inside = np.ones(len(rows), dtype=bool)
+            for coords, low, high in columns:
+                coordinate = coords[rows]
+                inside &= coordinate >= low[probe_ids]
+                inside &= coordinate <= high[probe_ids]
+            return inside
+
+        return inside_box
 
     def batch_radius_query(
         self, centers: np.ndarray, radius: float
@@ -381,12 +415,23 @@ class VectorizedGrid:
         radius_sq = radius * radius
         lows = centers - radius
         highs = centers + radius
+        inside_box = self._box_filter(lows, highs)
+        columns = [
+            (
+                np.ascontiguousarray(points[:, dimension]),
+                np.ascontiguousarray(centers[:, dimension]),
+            )
+            for dimension in range(points.shape[1])
+        ]
 
         def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            candidate_points = points[rows]
-            inside = (candidate_points >= lows[probe_ids]).all(axis=1)
-            inside &= (candidate_points <= highs[probe_ids]).all(axis=1)
-            dist_sq = _pairwise_dist_sq(candidate_points - centers[probe_ids])
+            inside = inside_box(probe_ids, rows)
+            # Squared distance accumulated dimension by dimension, left to
+            # right from zero — the order Python's sum() adds the terms.
+            dist_sq = 0.0
+            for coords, center in columns:
+                diff = coords[rows] - center[probe_ids]
+                dist_sq = dist_sq + diff * diff
             # Work charge = the box candidates an interpreted index surfaces;
             # matches additionally pass the distance test.
             return inside & (dist_sq <= radius_sq), inside

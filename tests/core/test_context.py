@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.agent import Agent
 from repro.core.context import QueryContext, UpdateContext, agent_rng
 from repro.core.errors import VisibilityError, WorldError
+from repro.core.fields import StateField
+from repro.core.ordering import agent_sort_key
 
 from tests.conftest import Boid, make_boid_world
 
@@ -98,6 +102,190 @@ class TestNeighborQueries:
         world = make_boid_world(num_agents=3)
         with pytest.raises(WorldError):
             QueryContext(world.agents(), tick=0, seed=0, index="rtree")
+
+
+class Narrow(Agent):
+    """Bounded visibility with different radii per dimension."""
+
+    x = StateField(0.0, spatial=True, visibility=2.0)
+    y = StateField(0.0, spatial=True, visibility=5.0)
+
+
+class Wanderer(Agent):
+    """Unbounded visibility: every probe sees the whole extent."""
+
+    x = StateField(0.0, spatial=True)
+    y = StateField(0.0, spatial=True)
+
+
+class Lopsided(Narrow):
+    """Overrides the visible region, so its boxes are asked per agent."""
+
+    def visible_region(self):
+        region = super().visible_region()
+        return type(region)(((region.lows[0], region.highs[0] + 3.0), region.intervals[1]))
+
+
+AGENT_CLASSES = (Boid, Narrow, Wanderer, Lopsided)
+BACKENDS = (("vectorized", "kdtree"), ("python", "kdtree"), ("python", "grid"), ("python", None))
+
+
+def make_context(agents, backend, index):
+    return QueryContext(agents, tick=0, seed=0, index=index, cell_size=6.0,
+                        spatial_backend=backend)
+
+
+def per_probe_pairs(context, probes, include_self=False):
+    """The reference: per-probe visible() calls, concatenated."""
+    rank = {id(agent): row for row, agent in enumerate(context.canonical_agents())}
+    probe_index, rows = [], []
+    for index, probe in enumerate(probes):
+        for match in context.visible(probe, include_self):
+            probe_index.append(index)
+            rows.append(rank[id(match)])
+    return probe_index, rows
+
+
+def assert_batch_matches_per_probe(agents, probes, include_self=False):
+    for backend, index in BACKENDS:
+        reference = make_context(agents, backend, index)
+        expected = per_probe_pairs(reference, probes, include_self)
+        batch = make_context(agents, backend, index)
+        probe_index, rows = batch.visible_pairs(probes, include_self)
+        assert (probe_index.tolist(), rows.tolist()) == expected, (backend, index)
+        assert (batch.work_units, batch.index_probes) == (
+            reference.work_units,
+            reference.index_probes,
+        ), (backend, index)
+
+
+def scattered(classes, count, seed, size=20.0):
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(count):
+        cls = classes[i % len(classes)]
+        agents.append(cls(agent_id=i, x=float(rng.uniform(0, size)),
+                          y=float(rng.uniform(0, size))))
+    return agents
+
+
+class TestVisiblePairs:
+    """``visible_pairs`` is the concatenation of per-probe ``visible`` calls."""
+
+    def test_single_class_world(self):
+        agents = scattered((Boid,), 80, seed=1)
+        assert_batch_matches_per_probe(agents, agents)
+
+    def test_probe_subset_in_any_order(self):
+        agents = scattered((Boid,), 80, seed=2)
+        probes = agents[40:] + agents[:5] + agents[::-7]
+        assert_batch_matches_per_probe(agents, probes)
+        assert_batch_matches_per_probe(agents, probes, include_self=True)
+
+    def test_probe_outside_the_snapshot(self):
+        agents = scattered((Boid, Narrow), 80, seed=3)
+        outsiders = [Boid(agent_id=1000, x=10.0, y=10.0), Narrow(agent_id=1001, x=-1.0, y=3.0)]
+        assert_batch_matches_per_probe(agents, agents[:10] + outsiders + agents[10:20])
+
+    def test_class_with_unbounded_visibility(self):
+        agents = scattered((Boid, Wanderer), 80, seed=4)
+        assert_batch_matches_per_probe(agents, agents)
+        assert_batch_matches_per_probe(agents, agents, include_self=True)
+        assert_batch_matches_per_probe(agents, [Wanderer(agent_id=999, x=1.0, y=1.0)])
+
+    def test_mixed_classes_with_different_radii(self):
+        agents = scattered((Boid, Narrow, Lopsided), 90, seed=5)
+        assert_batch_matches_per_probe(agents, agents)
+
+    def test_duplicate_positions(self):
+        agents = [Narrow(agent_id=i, x=float(i % 3), y=float(i % 2)) for i in range(70)]
+        assert_batch_matches_per_probe(agents, agents)
+        assert_batch_matches_per_probe(agents, agents, include_self=True)
+
+    def test_empty_extent_and_no_probes(self):
+        assert_batch_matches_per_probe([], [Boid(agent_id=1, x=0.0, y=0.0)])
+        agents = scattered((Boid,), 70, seed=6)
+        assert_batch_matches_per_probe(agents, [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layout=st.lists(
+            st.tuples(
+                st.integers(0, len(AGENT_CLASSES) - 1),
+                st.integers(0, 12),
+                st.integers(0, 12),
+            ),
+            min_size=0,
+            max_size=90,
+        ),
+        probe_picks=st.lists(st.integers(0, 200), max_size=40),
+        outsiders=st.lists(st.tuples(st.integers(-4, 16), st.integers(-4, 16)), max_size=3),
+        include_self=st.booleans(),
+    )
+    def test_property_matches_per_probe_calls(self, layout, probe_picks, outsiders,
+                                              include_self):
+        # Coarse integer coordinates force duplicates and exact box-edge hits.
+        agents = [
+            AGENT_CLASSES[kind](agent_id=i, x=x * 0.5, y=y * 0.5)
+            for i, (kind, x, y) in enumerate(layout)
+        ]
+        extra = [Boid(agent_id=500 + i, x=x * 0.5, y=y * 0.5) for i, (x, y) in enumerate(outsiders)]
+        pool = agents + extra
+        probes = [pool[pick % len(pool)] for pick in probe_picks] if pool else []
+        assert_batch_matches_per_probe(agents, probes, include_self)
+
+
+def brute_force_nearest(agents, probe, k):
+    center = probe.position()
+    ranked = sorted(
+        (a for a in agents if a is not probe),
+        key=lambda a: (sum((p - c) ** 2 for p, c in zip(a.position(), center)),
+                       agent_sort_key(a.agent_id)),
+    )
+    return ranked[:k]
+
+
+class TestNearestTies:
+    """``nearest`` ranks by (dist_sq, agent_sort_key) on every backend."""
+
+    #: (spatial_backend, index) -> the (work_units, index_probes) one call charges.
+    CHARGES = {
+        ("vectorized", "kdtree"): lambda n: (0, 1),
+        ("vectorized", "grid"): lambda n: (n, 0),
+        ("python", "kdtree"): lambda n: (0, 1),
+        ("python", "grid"): lambda n: (n, 0),
+        ("python", None): lambda n: (n, 0),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1,
+                       max_size=40),
+        order=st.randoms(use_true_random=False),
+        probe_pick=st.integers(0, 100),
+        k=st.integers(1, 8),
+    )
+    def test_forced_ties_break_canonically(self, cells, order, probe_pick, k):
+        # A tiny lattice: most distances tie exactly.  Ids are shuffled
+        # against the extent order so canonical order is not list order.
+        ids = list(range(len(cells)))
+        order.shuffle(ids)
+        agents = [Boid(agent_id=ids[i], x=float(x), y=float(y)) for i, (x, y) in enumerate(cells)]
+        order.shuffle(agents)
+        probe = agents[probe_pick % len(agents)]
+        expected = [a.agent_id for a in brute_force_nearest(agents, probe, k)]
+        for (backend, index), charge in self.CHARGES.items():
+            context = make_context(agents, backend, index)
+            found = [a.agent_id for a in context.nearest(probe, k=k)]
+            assert found == expected, (backend, index)
+            assert (context.work_units, context.index_probes) == charge(len(agents))
+
+    def test_max_radius_applies_after_ranking(self):
+        agents = [Boid(agent_id=i, x=float(i % 2), y=0.0) for i in range(6)]
+        for backend, index in self.CHARGES:
+            context = make_context(agents, backend, index)
+            found = context.nearest(agents[0], k=5, max_radius=0.5)
+            assert [a.agent_id for a in found] == [2, 4], (backend, index)
 
 
 class TestRandomStreams:

@@ -196,3 +196,119 @@ class TestKernelPlumbing:
     def test_pointset_rejects_mismatched_points(self):
         with pytest.raises(ValueError):
             PointSet([(0.0, 0.0)], points=np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The per-dimension exact filters against the (n, dim)-gather form and the
+# scalar box/distance checks, on hostile bounds.
+# ---------------------------------------------------------------------------
+_SUBNORMAL = 5e-324
+#: Coordinates: duplicates, signed zeros, subnormals and wide magnitudes.
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 2.2e-308, 1.0, -1.0, 2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+#: Box bounds and centers additionally take NaN and ±inf.
+_BOUNDS = st.one_of(
+    _COORDINATES, st.sampled_from([float("nan"), float("inf"), float("-inf")])
+)
+_CELLS = st.sampled_from([1e-3, 0.5, 1.0, 10.0, 1e3])
+_RADII = st.sampled_from([0.0, _SUBNORMAL, 1e-300, 0.5, 3.0, 100.0, float("inf")])
+
+
+@st.composite
+def _points_and_boxes(draw):
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(_COORDINATES, min_size=dim, max_size=dim)
+    points = draw(st.lists(vector, min_size=1, max_size=25))
+    bounds = st.lists(_BOUNDS, min_size=dim, max_size=dim)
+    lows = draw(st.lists(bounds, min_size=1, max_size=8))
+    highs = draw(st.lists(bounds, min_size=len(lows), max_size=len(lows)))
+    return dim, points, lows, highs
+
+
+def _grid(points, cell):
+    return VectorizedGrid(PointSet(range(len(points)), points=np.asarray(points)), cell)
+
+
+def _gathered_box_keep(points, lows, highs):
+    """The previous filter: ``(n, dim)`` gathers reduced with ``.all(axis=1)``."""
+
+    def keep(probe_ids, rows):
+        candidate_points = points[rows]
+        inside = (candidate_points >= lows[probe_ids]).all(axis=1)
+        inside &= (candidate_points <= highs[probe_ids]).all(axis=1)
+        return inside, inside
+
+    return keep
+
+
+def _scalar_box_matches(points, low, high):
+    try:
+        box = BBox.from_bounds(low, high)
+    except ValueError:  # low > high in some dimension: the box is empty
+        return []
+    return [row for row, point in enumerate(points) if box.contains_point(point)]
+
+
+def _as_triple(result):
+    probe_ids, rows, examined = result
+    return probe_ids.tolist(), rows.tolist(), examined.tolist()
+
+
+class TestPerDimensionFilters:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_points_and_boxes(), cell=_CELLS)
+    def test_range_filter_matches_gathered_and_scalar(self, case, cell):
+        _, points, lows, highs = case
+        grid = _grid(points, cell)
+        lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+        result = _as_triple(grid.batch_range_query(lows, highs))
+        gathered = _as_triple(
+            grid._batch_join(lows, highs, _gathered_box_keep(grid.pointset.points, lows, highs))
+        )
+        assert result == gathered
+        expected_pairs = [
+            (probe, row)
+            for probe in range(len(lows))
+            for row in _scalar_box_matches(points, lows[probe], highs[probe])
+        ]
+        assert list(zip(result[0], result[1])) == expected_pairs
+        assert result[2] == [
+            sum(1 for probe, _ in expected_pairs if probe == index) for index in range(len(lows))
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_points_and_boxes(), cell=_CELLS, radius=_RADII)
+    def test_radius_filter_matches_gathered_and_scalar(self, case, cell, radius):
+        _, points, centers, _ = case
+        grid = _grid(points, cell)
+        centers = np.asarray(centers, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf bounds are NaN, on purpose
+            lows, highs = centers - radius, centers + radius
+        matrix = grid.pointset.points
+        box_keep = _gathered_box_keep(matrix, lows, highs)
+
+        def gathered_keep(probe_ids, rows):
+            inside, _ = box_keep(probe_ids, rows)
+            diff = matrix[rows] - centers[probe_ids]
+            dist_sq = diff[:, 0] * diff[:, 0]
+            for dimension in range(1, diff.shape[1]):
+                dist_sq = dist_sq + diff[:, dimension] * diff[:, dimension]
+            return inside & (dist_sq <= radius * radius), inside
+
+        with np.errstate(invalid="ignore"):
+            result = _as_triple(grid.batch_radius_query(centers, radius))
+            gathered = _as_triple(grid._batch_join(lows, highs, gathered_keep))
+        assert result == gathered
+        pairs, examined = [], []
+        for probe, center in enumerate(centers.tolist()):
+            in_box = _scalar_box_matches(points, lows[probe], highs[probe])
+            examined.append(len(in_box))
+            pairs += [
+                (probe, row)
+                for row in in_box
+                if sum((p - c) ** 2 for p, c in zip(points[row], center)) <= radius * radius
+            ]
+        assert list(zip(result[0], result[1])) == pairs
+        assert result[2] == examined
